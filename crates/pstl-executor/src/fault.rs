@@ -28,6 +28,12 @@
 //! * **thread spawn** — pool constructors consult
 //!   [`spawn_should_fail`] and treat a hit exactly like a real
 //!   `thread::spawn` error, exercising the fewer-workers fallback.
+//! * **stream quarantine** — the streaming engine calls
+//!   [`FaultInjector::on_quarantine`] after it unlocks a panicked node
+//!   and before it poisons the run, so the plan's delay holds open the
+//!   window in which other drivers may try to claim that node.
+
+use std::time::Duration;
 
 /// Delay one worker at its steal-round boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +69,9 @@ pub struct FaultPlan {
     /// Reject the `index`-th admission attempt observed by the service
     /// layer (counted across submissions since the plan was installed).
     pub reject_admission: Option<u64>,
+    /// Sleep this long between unlocking a panicked stream node and
+    /// poisoning the run.
+    pub quarantine_delay: Option<Duration>,
 }
 
 impl FaultPlan {
@@ -101,6 +110,12 @@ impl FaultPlan {
         self
     }
 
+    /// Hold a panicked stream node's quarantine window open for `delay`.
+    pub fn with_quarantine_delay(mut self, delay: Duration) -> Self {
+        self.quarantine_delay = Some(delay);
+        self
+    }
+
     /// Whether the plan injects anything at all.
     pub fn is_empty(&self) -> bool {
         self.panic_at_task.is_none()
@@ -108,6 +123,7 @@ impl FaultPlan {
             && self.fail_spawn.is_none()
             && self.panic_every.is_none()
             && self.reject_admission.is_none()
+            && self.quarantine_delay.is_none()
     }
 
     /// Derive a small reproducible plan from a seed: one task panic in
@@ -229,6 +245,16 @@ mod imp {
                 }
             }
         }
+
+        /// Stream-quarantine injection point: sleep for the plan's
+        /// delay, if it has one.
+        #[inline]
+        pub fn on_quarantine(&self) {
+            let state = self.state.lock().clone();
+            if let Some(delay) = state.and_then(|s| s.plan.quarantine_delay) {
+                std::thread::sleep(delay);
+            }
+        }
     }
 
     fn consume_one(counter: &AtomicU64) -> bool {
@@ -295,6 +321,9 @@ mod imp {
         #[inline(always)]
         pub fn on_steal_round(&self, _worker: usize) {}
 
+        #[inline(always)]
+        pub fn on_quarantine(&self) {}
+
         /// Always admits: the check disappears at build time.
         #[inline(always)]
         pub fn on_admission(&self) -> bool {
@@ -337,6 +366,9 @@ mod tests {
         assert!(!FaultPlan::none().with_spawn_failure(1).is_empty());
         assert!(!FaultPlan::none().with_reject_admission(0).is_empty());
         assert!(!FaultPlan::none().with_panic_every(5).is_empty());
+        assert!(!FaultPlan::none()
+            .with_quarantine_delay(Duration::from_millis(1))
+            .is_empty());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * [`Runtime<S>`] adds the worker threads. A discipline supplies only
 //!   a [`WorkerStrategy`] — its scheduling decisions (what "one unit of
 //!   work" is and where to find it) — and the runtime runs the loop:
-//!   `try_work` until dry, then check shutdown, then park on the
-//!   signal.
+//!   `try_work` until dry, then check shutdown, then watch the signal
+//!   for a short spin window, then park on it.
 //! * [`contain`] and [`PanicSlot`] are the one panic envelope. Pool
 //!   files must not call `std::panic::catch_unwind` themselves (a CI
 //!   lint enforces this): a worker thread never unwinds, and payloads
@@ -32,6 +32,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 use pstl_trace::{EventKind, PoolTracer, TraceLog, WorkerRecorder};
@@ -40,6 +41,18 @@ use crate::fault::{self, FaultInjector, FaultPlan};
 use crate::metrics::{HistKind, HistSet, MetricsSink, MetricsSnapshot};
 use crate::sync::{ShutdownFlag, WorkSignal};
 use crate::topology::Topology;
+
+/// How long a dry worker watches the signal epoch before it parks — the
+/// bounded spin-then-park window of OpenMP's `OMP_WAIT_POLICY=active` /
+/// `GOMP_SPINCOUNT`. A region dispatched inside the window reaches the
+/// worker without a futex wake-up; a pool at rest still sleeps once the
+/// window runs out.
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// `spin_loop` hints between two clock reads. Each batch ends in a
+/// `yield_now`, so a spinning worker hands the core to any runnable
+/// thread (a job dispatcher, a load generator) instead of starving it.
+const SPIN_BATCH: u32 = 64;
 
 /// A caught panic payload, as produced by [`contain`].
 pub type PanicPayload = Box<dyn std::any::Any + Send>;
@@ -252,6 +265,28 @@ impl RuntimeCore {
     /// Whether the pool is shutting down.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.is_triggered()
+    }
+
+    /// The spin half of the idle protocol: watch the signal epoch for up
+    /// to [`SPIN_WINDOW`]. Returns `true` as soon as it moves past
+    /// `seen` (the worker goes back to its work search without
+    /// sleeping), `false` when the window runs out (the worker parks on
+    /// the same `seen`, so a notify that lands in between still wakes
+    /// it).
+    fn spin_for_signal(&self, seen: usize) -> bool {
+        let start = Instant::now();
+        loop {
+            for _ in 0..SPIN_BATCH {
+                if self.epoch() != seen {
+                    return true;
+                }
+                std::hint::spin_loop();
+            }
+            if start.elapsed() >= SPIN_WINDOW {
+                return false;
+            }
+            std::thread::yield_now();
+        }
     }
 
     /// The park half of the idle protocol: record the park, sleep until
@@ -496,8 +531,8 @@ fn worker_loop<S: WorkerStrategy>(shared: &RtShared<S>, worker: usize, mut local
     shared.strategy.on_worker_start(&ctx);
     loop {
         // Epoch read precedes the work search: a notify between a dry
-        // search and the park bumps the epoch, so the park returns
-        // immediately instead of missing the wakeup.
+        // search and the spin or park bumps the epoch, so either one
+        // returns instead of missing the wakeup.
         let seen = shared.core.epoch();
         if shared.strategy.try_work(&ctx, &mut local) {
             continue;
@@ -505,7 +540,9 @@ fn worker_loop<S: WorkerStrategy>(shared: &RtShared<S>, worker: usize, mut local
         if shared.core.is_shutdown() {
             return;
         }
-        shared.core.park(seen, &ctx.rec);
+        if !shared.core.spin_for_signal(seen) {
+            shared.core.park(seen, &ctx.rec);
+        }
     }
 }
 

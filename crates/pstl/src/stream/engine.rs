@@ -673,6 +673,14 @@ fn drive(graph: &Graph, origin: usize, exec: &dyn Executor) {
             let Some(mut node) = slot.node.try_lock() else {
                 continue;
             };
+            // Re-check under the lock: a panicking driver quarantines
+            // its node before unlocking it, possibly after this
+            // driver's first check. The unlock (release) and this
+            // driver's lock (acquire) order that store before this
+            // load, so `Relaxed` suffices.
+            if slot.done.load(Ordering::Relaxed) {
+                continue;
+            }
             match runtime::contain(|| node.step(shared)) {
                 Ok(step) => {
                     drop(node);
@@ -686,11 +694,16 @@ fn drive(graph: &Graph, origin: usize, exec: &dyn Executor) {
                     }
                 }
                 Err(payload) => {
-                    drop(node);
-                    // Quarantine the panicked node; teardown still
-                    // drains it (the poisoned lock is parking_lot, so
+                    // Quarantine the panicked node before unlocking it:
+                    // a driver that steps it again would overwrite the
+                    // in-hand item teardown must count. Teardown still
+                    // drains it (the lock is parking_lot, so there are
                     // no poisoning semantics to undo).
                     slot.done.store(true, Ordering::Relaxed);
+                    drop(node);
+                    if let Some(core) = exec.runtime_core() {
+                        core.faults().on_quarantine();
+                    }
                     shared.poison_panic(slot.stage, payload);
                     return;
                 }

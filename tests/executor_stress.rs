@@ -258,6 +258,53 @@ fn panic_storm_keeps_every_pool_alive() {
     }
 }
 
+#[test]
+fn pools_at_rest_park_every_worker() {
+    // Idle burn stays bounded: a dry worker spins for a few tens of
+    // microseconds at most, so well after a run every worker of every
+    // discipline is asleep in `park`, not spinning.
+    const THREADS: usize = 3;
+    for discipline in [
+        Discipline::ForkJoin,
+        Discipline::WorkStealing,
+        Discipline::TaskPool,
+        Discipline::Futures,
+        Discipline::ServicePool,
+    ] {
+        let pool = build_pool(discipline, THREADS);
+        pool.run(64, &|_| {});
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(pool.idle_workers(), THREADS - 1, "{discipline:?}");
+        let m = pool.metrics().expect("runtime-backed pools expose metrics");
+        assert_eq!(
+            m.parks - m.parked_wakeups,
+            (THREADS - 1) as u64,
+            "{discipline:?}: every worker must be asleep"
+        );
+    }
+}
+
+#[test]
+fn back_to_back_fork_join_regions_mostly_skip_the_park() {
+    // A region dispatched while the worker is still in its spin window
+    // reaches it without a sleep/wake-up round trip.
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        return;
+    }
+    const RUNS: u64 = 1000;
+    let pool = build_pool(Discipline::ForkJoin, 2);
+    pool.run(2, &|_| {});
+    let before = pool.metrics().expect("fork-join pool exposes metrics");
+    for _ in 0..RUNS {
+        pool.run(2, &|_| {});
+    }
+    let parks = pool.metrics().unwrap().since(&before).parks;
+    assert!(
+        parks < RUNS / 4,
+        "{parks} parks in {RUNS} back-to-back runs"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 

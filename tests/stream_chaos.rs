@@ -10,30 +10,38 @@
 //! - the pool is immediately reusable for clean work afterwards.
 
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use pstl::stream::{ChannelKind, Pipeline, PipelineErrorKind, StreamStats};
 use pstl_executor::{build_pool, CancelToken, Discipline};
 
 /// Net count of live [`Elem`] values; zero between cases means perfect
-/// drop balance. All cases share it, so each `#[test]` snapshots it
-/// before and after every pipeline run.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
+/// drop balance. Each `#[test]` owns its counter, because cargo runs the
+/// tests of this file concurrently, and snapshots it before and after
+/// every pipeline run.
+type Live = Arc<AtomicIsize>;
 
 #[derive(Debug)]
-struct Elem(u64);
+struct Elem(u64, Live);
 
 impl Elem {
-    fn new(v: u64) -> Self {
-        LIVE.fetch_add(1, Ordering::SeqCst);
-        Elem(v)
+    fn new(v: u64, live: &Live) -> Self {
+        live.fetch_add(1, Ordering::SeqCst);
+        Elem(v, Arc::clone(live))
     }
 }
 
 impl Drop for Elem {
     fn drop(&mut self) {
-        LIVE.fetch_sub(1, Ordering::SeqCst);
+        self.1.fetch_sub(1, Ordering::SeqCst);
     }
+}
+
+/// `Elem::new` bound to `live`, for `Iterator::map`.
+fn mint(live: &Live) -> impl Fn(u64) -> Elem + Send + 'static {
+    let live = Arc::clone(live);
+    move |v| Elem::new(v, &live)
 }
 
 const DISCIPLINES: [Discipline; 5] = [
@@ -44,14 +52,14 @@ const DISCIPLINES: [Discipline; 5] = [
     Discipline::ServicePool,
 ];
 
-fn assert_balanced(label: &str, stats: &StreamStats, live_before: isize) {
+fn assert_balanced(label: &str, stats: &StreamStats, live: &Live, live_before: isize) {
     assert_eq!(
         stats.produced,
         stats.consumed + stats.dropped,
         "{label}: flow accounting must balance"
     );
     assert_eq!(
-        LIVE.load(Ordering::SeqCst),
+        live.load(Ordering::SeqCst),
         live_before,
         "{label}: drop imbalance (leak or double drop)"
     );
@@ -69,18 +77,20 @@ fn assert_reusable(label: &str, pool: &std::sync::Arc<dyn pstl_executor::Executo
 
 #[test]
 fn panics_in_source_stage_farm_and_sink_surface_typed_and_balanced() {
+    let live = Live::default();
     for d in DISCIPLINES {
         let pool = build_pool(d, 3);
         for kind in ChannelKind::ALL {
             let label = format!("{d:?}/{}", kind.name());
 
             // Panic in the source iterator itself (stage 0).
-            let before = LIVE.load(Ordering::SeqCst);
-            let err = Pipeline::source((0u64..).map(|i| {
+            let before = live.load(Ordering::SeqCst);
+            let elem = mint(&live);
+            let err = Pipeline::source((0u64..).map(move |i| {
                 if i == 321 {
                     panic!("source boom");
                 }
-                Elem::new(i)
+                elem(i)
             }))
             .channel(kind)
             .stage(|e: Elem| e)
@@ -94,11 +104,11 @@ fn panics_in_source_stage_farm_and_sink_surface_typed_and_balanced() {
                 }
                 other => panic!("{label}: expected StagePanicked, got {other:?}"),
             }
-            assert_balanced(&format!("{label}/source"), &err.stats, before);
+            assert_balanced(&format!("{label}/source"), &err.stats, &live, before);
 
             // Panic in a plain stage (stage 1), mid-stream.
-            let before = LIVE.load(Ordering::SeqCst);
-            let err = Pipeline::source((0..5_000u64).map(Elem::new))
+            let before = live.load(Ordering::SeqCst);
+            let err = Pipeline::source((0..5_000u64).map(mint(&live)))
                 .channel(kind)
                 .stage(|e: Elem| {
                     if e.0 == 1_234 {
@@ -116,12 +126,12 @@ fn panics_in_source_stage_farm_and_sink_surface_typed_and_balanced() {
                 }
                 other => panic!("{label}: expected StagePanicked, got {other:?}"),
             }
-            assert_balanced(&format!("{label}/stage"), &err.stats, before);
+            assert_balanced(&format!("{label}/stage"), &err.stats, &live, before);
 
             // Panic inside one replica of an unordered farm (stage 1):
             // the other replicas must drain and stop, not hang.
-            let before = LIVE.load(Ordering::SeqCst);
-            let err = Pipeline::source((0..5_000u64).map(Elem::new))
+            let before = live.load(Ordering::SeqCst);
+            let err = Pipeline::source((0..5_000u64).map(mint(&live)))
                 .channel(kind)
                 .farm(3, |e: Elem| {
                     if e.0 == 777 {
@@ -139,12 +149,12 @@ fn panics_in_source_stage_farm_and_sink_surface_typed_and_balanced() {
                 }
                 other => panic!("{label}: expected StagePanicked, got {other:?}"),
             }
-            assert_balanced(&format!("{label}/farm"), &err.stats, before);
+            assert_balanced(&format!("{label}/farm"), &err.stats, &live, before);
 
             // Panic in the sink (last stage): upstream items in flight
             // must be dropped exactly once during teardown.
-            let before = LIVE.load(Ordering::SeqCst);
-            let err = Pipeline::source((0..5_000u64).map(Elem::new))
+            let before = live.load(Ordering::SeqCst);
+            let err = Pipeline::source((0..5_000u64).map(mint(&live)))
                 .channel(kind)
                 .stage(|e: Elem| e)
                 .sink(|e: Elem| {
@@ -161,7 +171,7 @@ fn panics_in_source_stage_farm_and_sink_surface_typed_and_balanced() {
                 }
                 other => panic!("{label}: expected StagePanicked, got {other:?}"),
             }
-            assert_balanced(&format!("{label}/sink"), &err.stats, before);
+            assert_balanced(&format!("{label}/sink"), &err.stats, &live, before);
 
             assert_reusable(&label, &pool);
         }
@@ -170,15 +180,16 @@ fn panics_in_source_stage_farm_and_sink_surface_typed_and_balanced() {
 
 #[test]
 fn manual_cancel_mid_stream_balances_on_every_backend() {
+    let live = Live::default();
     for d in DISCIPLINES {
         let pool = build_pool(d, 3);
         for kind in ChannelKind::ALL {
             let label = format!("{d:?}/{}", kind.name());
-            let before = LIVE.load(Ordering::SeqCst);
+            let before = live.load(Ordering::SeqCst);
 
             let token = CancelToken::new();
             let observer = token.clone();
-            let err = Pipeline::source((0u64..).map(Elem::new))
+            let err = Pipeline::source((0u64..).map(mint(&live)))
                 .channel(kind)
                 .with_cancel(token)
                 .stage(move |e: Elem| {
@@ -191,7 +202,7 @@ fn manual_cancel_mid_stream_balances_on_every_backend() {
                 .run(&*pool)
                 .unwrap_err();
             assert_eq!(err.kind, PipelineErrorKind::Cancelled, "{label}");
-            assert_balanced(&label, &err.stats, before);
+            assert_balanced(&label, &err.stats, &live, before);
             assert!(
                 err.stats.produced < 5_000_000,
                 "{label}: teardown not prompt, produced {}",
@@ -204,14 +215,16 @@ fn manual_cancel_mid_stream_balances_on_every_backend() {
 
 #[test]
 fn deadline_cancel_mid_stream_balances_on_every_backend() {
+    let live = Live::default();
     for d in DISCIPLINES {
         let pool = build_pool(d, 2);
         let label = format!("{d:?}");
-        let before = LIVE.load(Ordering::SeqCst);
+        let before = live.load(Ordering::SeqCst);
 
-        let err = Pipeline::source((0u64..).map(|i| {
+        let elem = mint(&live);
+        let err = Pipeline::source((0u64..).map(move |i| {
             std::thread::sleep(Duration::from_micros(20));
-            Elem::new(i)
+            elem(i)
         }))
         .with_cancel(CancelToken::with_deadline(Duration::from_millis(25)))
         .ordered_farm(2, |e: Elem| e)
@@ -219,7 +232,7 @@ fn deadline_cancel_mid_stream_balances_on_every_backend() {
         .run(&*pool)
         .unwrap_err();
         assert_eq!(err.kind, PipelineErrorKind::Cancelled, "{label}");
-        assert_balanced(&label, &err.stats, before);
+        assert_balanced(&label, &err.stats, &live, before);
         assert_reusable(&label, &pool);
     }
 }
@@ -254,6 +267,46 @@ fn pools_interleave_chaotic_and_clean_streams_without_residue() {
                 .unwrap();
             let want: Vec<u64> = (0..2_000).map(|x| x * 2).collect();
             assert_eq!(got, want, "{d:?} round {round}: clean run after chaos");
+        }
+    }
+}
+
+/// Regression for a quarantine race: the driver that contains a node's
+/// panic used to unlock the node before marking it done, so another
+/// driver could claim and step it again and overwrite the in-hand item
+/// teardown counts (`produced 1300 != consumed + dropped 1299`). The
+/// fault plan holds the window between unlocking the panicked node and
+/// poisoning the run open for 20 ms, which is ample time for the other
+/// two drivers, which spin on the node list, to try to claim it.
+#[cfg(feature = "fault")]
+#[test]
+fn panicked_node_stays_quarantined_until_the_run_is_poisoned() {
+    use pstl_executor::FaultPlan;
+
+    let live = Live::default();
+    for d in DISCIPLINES {
+        let pool = build_pool(d, 3);
+        pool.install_fault_plan(FaultPlan::none().with_quarantine_delay(Duration::from_millis(20)));
+        for kind in ChannelKind::ALL {
+            let label = format!("{d:?}/{}", kind.name());
+            let before = live.load(Ordering::SeqCst);
+            let err = Pipeline::source((0..5_000u64).map(mint(&live)))
+                .channel(kind)
+                .stage(|e: Elem| {
+                    if e.0 == 1_234 {
+                        panic!("stage boom");
+                    }
+                    e
+                })
+                .sink(drop)
+                .run(&*pool)
+                .unwrap_err();
+            assert!(
+                matches!(err.kind, PipelineErrorKind::StagePanicked { stage: 1, .. }),
+                "{label}: {:?}",
+                err.kind
+            );
+            assert_balanced(&label, &err.stats, &live, before);
         }
     }
 }
