@@ -4,7 +4,7 @@
 //! parallel algorithms bottom out in, which is where the `simd`
 //! feature's raw-speed claim lives.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use bench::BENCH_SIZES;
@@ -53,22 +53,6 @@ fn bench_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("count_wide", &size), &n, |b, _| {
             b.iter(|| kernel::partition::count_matches_wide(black_box(&u32s), &even))
-        });
-
-        group.throughput(criterion::Throughput::Bytes((n * 4) as u64));
-        group.bench_with_input(BenchmarkId::new("sort_introsort", &size), &n, |b, _| {
-            b.iter_batched(
-                || u32s.clone(),
-                |mut buf| pstl::seq::introsort(&mut buf, &|a: &u32, b: &u32| a.cmp(b)),
-                BatchSize::LargeInput,
-            )
-        });
-        group.bench_with_input(BenchmarkId::new("sort_radix", &size), &n, |b, _| {
-            b.iter_batched(
-                || u32s.clone(),
-                |mut buf| kernel::sort::radix_sort(&mut buf[..]),
-                BatchSize::LargeInput,
-            )
         });
     }
     group.finish();

@@ -22,9 +22,10 @@ pub enum Direction {
     HigherIsBetter,
 }
 
-/// Fields naming an element of a JSON array of objects; the first one
-/// present labels the element in the flattened path (instead of its
-/// index, which would misalign when entries are added or reordered).
+/// Fields naming an element of a JSON array of objects; those present,
+/// joined by `_` in this order, label the element in the flattened path
+/// (instead of its index, which would misalign when entries are added
+/// or reordered).
 const LABEL_FIELDS: [&str; 6] = [
     "name",
     "mode",
@@ -100,14 +101,17 @@ pub fn is_ratio_key(path: &str) -> bool {
 }
 
 fn label_of(v: &Value) -> Option<String> {
-    if let Value::Object(fields) = v {
-        for want in LABEL_FIELDS {
-            if let Some((_, Value::String(s))) = fields.iter().find(|(k, _)| k == want) {
-                return Some(s.replace('.', "_"));
-            }
-        }
-    }
-    None
+    let Value::Object(fields) = v else {
+        return None;
+    };
+    let parts: Vec<String> = LABEL_FIELDS
+        .iter()
+        .filter_map(|want| match fields.iter().find(|(k, _)| k == want) {
+            Some((_, Value::String(s))) => Some(s.replace('.', "_")),
+            _ => None,
+        })
+        .collect();
+    (!parts.is_empty()).then(|| parts.join("_"))
 }
 
 fn join(prefix: &str, seg: &str) -> String {
@@ -267,6 +271,20 @@ mod tests {
         assert_eq!(get("benchmarks.a.stats.mean"), Some(1.5));
         assert_eq!(get("benchmarks.b.stats.mean"), Some(2.5));
         assert_eq!(get("plain.1"), Some(20.0));
+    }
+
+    #[test]
+    fn every_label_field_present_names_the_element() {
+        // Two entries sharing a position must not collapse onto one path.
+        let val = v(
+            r#"{"sim": [{"discipline": "static", "position": "front", "makespan": 1.0},
+                                {"discipline": "guided", "position": "front", "makespan": 2.0}]}"#,
+        );
+        let mut leaves = Vec::new();
+        flatten(&val, "", &mut leaves);
+        let get = |p: &str| leaves.iter().find(|(k, _)| k == p).map(|(_, x)| *x);
+        assert_eq!(get("sim.front_static.makespan"), Some(1.0));
+        assert_eq!(get("sim.front_guided.makespan"), Some(2.0));
     }
 
     #[test]

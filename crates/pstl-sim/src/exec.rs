@@ -33,7 +33,7 @@ const ALPHA_CONTENTION: f64 = 0.002;
 /// Barrier cost per log2(threads), ns.
 const BARRIER_NS_PER_LOG2: f64 = 300.0;
 
-/// Sequential introsort cycles per element per level.
+/// Sequential `std::sort` (GCC-SEQ) cycles per element per level.
 const C_CMP_SEQ: f64 = 3.0;
 
 /// Quicksort partition cycles per element (compare + swap + the
@@ -404,8 +404,6 @@ mod tests {
             find_wide_ns_f64: 0.75,
             scan_scalar_ns: 1.0,
             scan_wide_ns: 0.6,
-            sort_merge_ns: 20.0,
-            sort_radix_ns: 12.0,
         }
     }
 

@@ -8,9 +8,7 @@
 //! * `reduce` — tree-fold vs. left-fold of an f64 sum,
 //! * `find` — masked 32-lane block scan vs. per-element short-circuit
 //!   on a matchless predicate (the worst case: every index evaluated),
-//! * `scan` — the phase-1 range fold both scan engines share,
-//! * `sort` — the radix leaf vs. the comparison introsort leaf on
-//!   scrambled u32 keys.
+//! * `scan` — the phase-1 range fold both scan engines share.
 //!
 //! The emitted JSON carries three things: raw ns-per-element numbers
 //! (machine-dependent, ignored by the perf gate), `speedup` ratios
@@ -19,9 +17,8 @@
 //! consumes to replace the backend models' theoretical lane speedups
 //! with these measured ones.
 //!
-//! With `--check`, exits non-zero unless the ISSUE 7 acceptance gates
-//! hold: wide reduce/find ≤ 0.7× scalar time (speedup ≥ 1/0.7) and the
-//! radix leaf ≥ 1.3× over the comparison leaf.
+//! With `--check`, exits non-zero unless wide reduce/find take ≤ 0.7×
+//! scalar time (speedup ≥ 1/0.7).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -34,8 +31,6 @@ use serde::Serialize;
 /// Wide reduce/find must be at least this much faster than scalar
 /// (time ratio ≤ 0.7 ⇒ speedup ≥ 1/0.7).
 const GATE_WIDE_SPEEDUP: f64 = 1.0 / 0.7;
-/// Radix leaf must beat the comparison leaf by at least this factor.
-const GATE_SORT_SPEEDUP: f64 = 1.3;
 
 #[derive(Serialize)]
 struct KernelRow {
@@ -161,19 +156,6 @@ fn main() {
         ));
     });
 
-    // --- sort: comparison introsort leaf vs. radix leaf on u32 keys ------
-    // Both sides pay the same clone-from-master cost.
-    let keys = scrambled_u32(n);
-    let mut buf = keys.clone();
-    let sort_merge = time_ns_per_elem(n, reps, || {
-        buf.copy_from_slice(&keys);
-        pstl::seq::introsort(black_box(&mut buf), &|a: &u32, b: &u32| a.cmp(b));
-    });
-    let sort_radix = time_ns_per_elem(n, reps, || {
-        buf.copy_from_slice(&keys);
-        kernel::sort::radix_sort(black_box(&mut buf[..]));
-    });
-
     let calibration = KernelCalibration {
         reduce_scalar_ns: reduce_scalar,
         reduce_wide_ns: reduce_wide,
@@ -185,8 +167,6 @@ fn main() {
         find_wide_ns_f64: find_wide_f64,
         scan_scalar_ns: scan_scalar,
         scan_wide_ns: scan_wide,
-        sort_merge_ns: sort_merge,
-        sort_radix_ns: sort_radix,
     };
 
     let rows = vec![
@@ -229,14 +209,6 @@ fn main() {
             scalar_ns_per_elem: scan_scalar,
             wide_ns_per_elem: scan_wide,
             speedup: calibration.scan_speedup(),
-        },
-        KernelRow {
-            name: "sort_u32_keys",
-            scalar_path: "seq::introsort",
-            wide_path: "kernel::sort::radix_sort",
-            scalar_ns_per_elem: sort_merge,
-            wide_ns_per_elem: sort_radix,
-            speedup: calibration.sort_speedup(),
         },
     ];
 
@@ -318,11 +290,6 @@ fn main() {
             "find   wide<=0.7x scalar",
             report.calibration.find_speedup(),
             GATE_WIDE_SPEEDUP,
-        );
-        gate(
-            "sort   radix>=1.3x merge",
-            report.calibration.sort_speedup(),
-            GATE_SORT_SPEEDUP,
         );
         if failed {
             std::process::exit(1);

@@ -13,13 +13,14 @@ use crate::algorithms::scratch_clone;
 use crate::chunk::chunk_range;
 use crate::policy::{ExecutionPolicy, Plan};
 use crate::ptr::SliceView;
-use crate::seq;
-use crate::seq::Cmp;
 
 /// Stable co-rank: the unique `(i, j)` with `i + j = k` such that merging
 /// `a[..i]` and `b[..j]` yields exactly the first `k` outputs of the
 /// stable merge (ties taken from `a` first).
-pub(crate) fn co_rank<T>(a: &[T], b: &[T], k: usize, cmp: Cmp<T>) -> (usize, usize) {
+pub(crate) fn co_rank<T, C>(a: &[T], b: &[T], k: usize, cmp: &C) -> (usize, usize)
+where
+    C: Fn(&T, &T) -> Ordering,
+{
     debug_assert!(k <= a.len() + b.len());
     let mut lo = k.saturating_sub(b.len());
     let mut hi = k.min(a.len());
@@ -35,6 +36,34 @@ pub(crate) fn co_rank<T>(a: &[T], b: &[T], k: usize, cmp: Cmp<T>) -> (usize, usi
         }
     }
     (lo, k - lo)
+}
+
+/// Stable sequential merge of two sorted runs into `out`
+/// (`out.len() == a.len() + b.len()`). Ties take from `a` first.
+pub(crate) fn merge_into<T, C>(a: &[T], b: &[T], out: &mut [T], cmp: &C)
+where
+    T: Clone,
+    C: Fn(&T, &T) -> Ordering,
+{
+    assert_eq!(out.len(), a.len() + b.len(), "merge output length mismatch");
+    let (mut i, mut j) = (0, 0);
+    for slot in out.iter_mut() {
+        let take_a = if i >= a.len() {
+            false
+        } else if j >= b.len() {
+            true
+        } else {
+            // `<=` from a keeps the merge stable.
+            cmp(&b[j], &a[i]) != Ordering::Less
+        };
+        if take_a {
+            *slot = a[i].clone();
+            i += 1;
+        } else {
+            *slot = b[j].clone();
+            j += 1;
+        }
+    }
 }
 
 /// Stable parallel merge of two sorted slices into `out`, by comparator.
@@ -56,10 +85,9 @@ where
     debug_assert!(b.windows(2).all(|w| cmp(&w[0], &w[1]) != Ordering::Greater));
     let n = out.len();
     match policy.plan(n) {
-        Plan::Sequential => seq::merge_into(a, b, out, &cmp),
+        Plan::Sequential => merge_into(a, b, out, &cmp),
         Plan::Parallel { exec, tasks, .. } => {
             // Segment boundaries in output space → input splits.
-            let cmp_ref: Cmp<T> = &cmp;
             let splits: Vec<(usize, usize)> = (0..=tasks)
                 .map(|s| {
                     let k = if s == tasks {
@@ -67,7 +95,7 @@ where
                     } else {
                         chunk_range(n, tasks, s).start
                     };
-                    co_rank(a, b, k, cmp_ref)
+                    co_rank(a, b, k, &cmp)
                 })
                 .collect();
             let splits = &splits;
@@ -80,7 +108,7 @@ where
                 let k1 = i1 + j1;
                 // SAFETY: output segments are disjoint by construction.
                 let dst = unsafe { view.range_mut(k0..k1) };
-                seq::merge_into(&a[i0..i1], &b[j0..j1], dst, cmp_ref);
+                merge_into(&a[i0..i1], &b[j0..j1], dst, &cmp);
             });
         }
     }
@@ -178,24 +206,42 @@ mod tests {
         ]
     }
 
+    fn ord(x: &i32, y: &i32) -> Ordering {
+        x.cmp(y)
+    }
+
     #[test]
     fn co_rank_boundaries() {
         let a = [1, 3, 5, 7];
         let b = [2, 4, 6, 8];
-        let cmp: Cmp<i32> = &|x, y| x.cmp(y);
-        assert_eq!(co_rank(&a, &b, 0, cmp), (0, 0));
-        assert_eq!(co_rank(&a, &b, 8, cmp), (4, 4));
+        assert_eq!(co_rank(&a, &b, 0, &ord), (0, 0));
+        assert_eq!(co_rank(&a, &b, 8, &ord), (4, 4));
         // First 3 outputs of the merge are 1,2,3 → 2 from a, 1 from b.
-        assert_eq!(co_rank(&a, &b, 3, cmp), (2, 1));
+        assert_eq!(co_rank(&a, &b, 3, &ord), (2, 1));
     }
 
     #[test]
     fn co_rank_tie_prefers_a() {
         let a = [5, 5];
         let b = [5, 5];
-        let cmp: Cmp<i32> = &|x, y| x.cmp(y);
         // First 2 outputs must both come from `a` for stability.
-        assert_eq!(co_rank(&a, &b, 2, cmp), (2, 0));
+        assert_eq!(co_rank(&a, &b, 2, &ord), (2, 0));
+    }
+
+    #[test]
+    fn merge_into_is_stable_and_ordered() {
+        let a = [1, 3, 3, 5];
+        let b = [2, 3, 4];
+        let mut out = [0; 7];
+        merge_into(&a, &b, &mut out, &ord);
+        assert_eq!(out, [1, 2, 3, 3, 3, 4, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "merge output length mismatch")]
+    fn merge_into_length_mismatch_panics() {
+        let mut out = [0; 3];
+        merge_into(&[1, 2], &[3, 4], &mut out, &ord);
     }
 
     #[test]

@@ -73,7 +73,7 @@ where
     T: PartialEq + Sync,
 {
     if policy.is_seq() {
-        return crate::seq::seq_mismatch(a, b);
+        return crate::kernel::compare::mismatch(a, b);
     }
     let n = a.len().min(b.len());
     find_first_index(policy, n, |i| a[i] != b[i])
@@ -86,7 +86,7 @@ where
     T: PartialEq + Sync,
 {
     if policy.is_seq() {
-        return crate::seq::seq_equal(a, b);
+        return crate::kernel::compare::equal(a, b);
     }
     a.len() == b.len() && mismatch(policy, a, b).is_none()
 }

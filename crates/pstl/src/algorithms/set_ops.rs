@@ -16,7 +16,6 @@ use crate::algorithms::merge::co_rank;
 use crate::algorithms::scratch_filled;
 use crate::policy::{ExecutionPolicy, Plan};
 use crate::ptr::SliceView;
-use crate::seq;
 
 /// Which set operation a merge-walk performs.
 #[derive(Clone, Copy, PartialEq)]
@@ -76,12 +75,11 @@ fn value_cuts<T: Ord>(
     parts: usize,
 ) -> (Vec<usize>, Vec<usize>) {
     let total = a.len() + b.len();
-    let cmp: seq::Cmp<T> = &|x, y| x.cmp(y);
     let mut ca = scratch_filled(policy, parts + 1, 0usize);
     let mut cb = scratch_filled(policy, parts + 1, 0usize);
     for s in 1..parts {
         let k = total * s / parts;
-        let (i, j) = co_rank(a, b, k, cmp);
+        let (i, j) = co_rank(a, b, k, &T::cmp);
         // Snap the cut to the start of the boundary value's equal run in
         // *both* inputs, so multiset counting stays within one segment.
         // Both sides must snap by the same value even when one input is
@@ -94,7 +92,7 @@ fn value_cuts<T: Ord>(
             (None, None) => None,
         };
         let (i, j) = match boundary {
-            Some(v) => (seq::lower_bound(a, v, cmp), seq::lower_bound(b, v, cmp)),
+            Some(v) => (a.partition_point(|x| x < v), b.partition_point(|x| x < v)),
             None => (i, j),
         };
         // Keep cuts monotone (snapping can move left past the previous

@@ -224,4 +224,44 @@ mod tests {
         b[777] ^= 1;
         assert_eq!(mismatch(&a, &b), Some(777));
     }
+
+    #[test]
+    fn mismatch_stops_at_the_shorter_slice() {
+        // Regression: unequal lengths must be answered at the shorter
+        // length (like `std`'s two-iterator overload / `Iterator::zip`),
+        // never by reading past the short slice.
+        let long = [1, 2, 3, 4, 5];
+        let prefix = [1, 2, 3];
+        assert_eq!(mismatch(&long, &prefix), None);
+        assert_eq!(mismatch(&prefix, &long), None);
+        let diverges = [1, 9, 3];
+        assert_eq!(mismatch(&long, &diverges), Some(1));
+        assert_eq!(mismatch(&diverges, &long), Some(1));
+        let empty: [i32; 0] = [];
+        assert_eq!(mismatch(&long, &empty), None);
+        assert_eq!(mismatch(&empty, &empty), None);
+    }
+
+    #[test]
+    fn mismatch_matches_std_zip_oracle() {
+        let a: Vec<u64> = (0..500u64)
+            .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17))
+            .collect();
+        let mut b = a.clone();
+        b[137] ^= 1;
+        b.truncate(300);
+        let oracle = a.iter().zip(b.iter()).position(|(x, y)| x != y);
+        assert_eq!(mismatch(&a, &b), oracle);
+        assert_eq!(oracle, Some(137));
+    }
+
+    #[test]
+    fn equal_requires_equal_lengths() {
+        let v = [1, 2, 3];
+        assert!(equal(&v, &[1, 2, 3]));
+        assert!(!equal(&v, &[1, 2]), "prefix is not equality");
+        assert!(!equal(&v, &[1, 2, 4]));
+        let empty: [i32; 0] = [];
+        assert!(equal(&empty, &empty));
+    }
 }

@@ -1,6 +1,6 @@
 //! The kernel layer: the innermost per-element loops every algorithm
 //! bottoms out in, written once and shared by the sequential fallbacks
-//! (`crate::seq`, `Plan::Sequential` arms) and the parallel leaf paths
+//! (`Plan::Sequential` arms) and the parallel leaf paths
 //! (chunk bodies under `map_ranges`/`run_chunks`, the early-exit
 //! engine's scan blocks).
 //!
@@ -58,7 +58,6 @@ pub mod compare;
 pub mod partition;
 pub mod reduce;
 pub mod scan;
-pub mod sort;
 
 /// Whether the dispatching entry points default to the wide path.
 /// Driven by the `simd` cargo feature; both paths are compiled either

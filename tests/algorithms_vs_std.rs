@@ -43,6 +43,23 @@ fn vec_i64() -> impl Strategy<Value = Vec<i64>> {
     prop::collection::vec(-1000i64..1000, 0..300)
 }
 
+/// The f64 input of the paper's `f64::total_cmp` sort, drawn as codes:
+/// 0..4 are NaN, -NaN, 0.0 and -0.0, the rest a narrow range of halves,
+/// so duplicates are common.
+fn special_f64(code: i64) -> f64 {
+    match code {
+        0 => f64::NAN,
+        1 => -f64::NAN,
+        2 => 0.0,
+        3 => -0.0,
+        x => (x - 24) as f64 * 0.5,
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -111,9 +128,13 @@ proptest! {
     }
 
     #[test]
-    fn sorts_match_std(data in vec_i64()) {
+    fn sorts_match_std(data in vec_i64(), codes in prop::collection::vec(0i64..48, 0..300)) {
         let mut expect = data.clone();
         expect.sort();
+        let floats: Vec<f64> = codes.into_iter().map(special_f64).collect();
+        // `total_cmp` orders every bit pattern, so the result is unique.
+        let mut expect_f = floats.clone();
+        expect_f.sort_by(f64::total_cmp);
         for policy in policies() {
             let mut a = data.clone();
             pstl::sort(&policy, &mut a);
@@ -126,6 +147,50 @@ proptest! {
             let mut c = data.clone();
             pstl::sort_multiway(&policy, &mut c);
             prop_assert_eq!(&c, &expect);
+
+            let mut f = floats.clone();
+            pstl::sort_by(&policy, &mut f, f64::total_cmp);
+            prop_assert_eq!(bits(&f), bits(&expect_f));
+
+            let mut g = floats.clone();
+            pstl::sort_multiway_by(&policy, &mut g, f64::total_cmp);
+            prop_assert_eq!(bits(&g), bits(&expect_f));
+        }
+    }
+
+    #[test]
+    fn selection_matches_full_sort(data in vec_i64(), k in 0usize..400, m in 0usize..400) {
+        let mut expect = data.clone();
+        expect.sort();
+        // Every case also runs the `k == len` edge (a no-op for
+        // nth_element, a full sort for partial_sort).
+        let ks = [k % (data.len() + 1), data.len()];
+        for policy in policies() {
+            for k in ks {
+                let mut nth = data.clone();
+                pstl::nth_element(&policy, &mut nth, k);
+                if k < data.len() {
+                    prop_assert_eq!(nth[k], expect[k]);
+                    prop_assert!(nth[..k].iter().all(|x| *x <= nth[k]));
+                    prop_assert!(nth[k + 1..].iter().all(|x| *x >= nth[k]));
+                    nth.sort();
+                    prop_assert_eq!(&nth, &expect);
+                } else {
+                    prop_assert_eq!(&nth, &data, "k == len is a no-op");
+                }
+
+                let mut part = data.clone();
+                pstl::partial_sort(&policy, &mut part, k);
+                prop_assert_eq!(&part[..k], &expect[..k]);
+                part.sort();
+                prop_assert_eq!(&part, &expect);
+            }
+
+            let mut out = vec![i64::MIN; m];
+            let written = pstl::partial_sort_copy(&policy, &data, &mut out);
+            prop_assert_eq!(written, m.min(data.len()));
+            prop_assert_eq!(&out[..written], &expect[..written]);
+            prop_assert!(out[written..].iter().all(|&x| x == i64::MIN));
         }
     }
 

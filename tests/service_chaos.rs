@@ -147,8 +147,8 @@ fn seeded_overload_sheds_only_lowest_class() {
     }
 
     let submit = |p: Priority| svc.submit(JobSpec::default().priority(p), move |_t| ());
-    let mut admitted = vec![0u64; 3];
-    let mut refused = vec![0u64; 3];
+    let mut admitted = [0u64; 3];
+    let mut refused = [0u64; 3];
     // Roughly 2× the queue capacity of mixed traffic, low first so the
     // higher classes always find lowest-class displacement victims
     // (shedding is lowest-first: highs only displace normals once the
